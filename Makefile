@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate verify clean
+.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate simgolden verify clean
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,19 @@ serverbench:
 allocgate:
 	$(GO) test -count=1 -run TestAllocGate ./internal/lsm ./internal/server
 
+# Sim byte-identity gate: the simulator is deterministic per seed, so the
+# cmd/experiments smoke pass (-scale 400 -iters 3) must reproduce the golden
+# summary and figure CSVs in results/golden-s400-i3 byte for byte. A change
+# that means to move sim numbers regenerates that directory with the same
+# command and says why.
+SIMGOLDEN = results/golden-s400-i3
+simgolden:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/experiments -scale 400 -iters 3 -out "$$tmp" >/dev/null && \
+	for f in summary.txt figure3.csv figure4.csv; do \
+		diff -u $(SIMGOLDEN)/$$f "$$tmp/$$f" || exit 1; \
+	done && echo "simgolden: output matches $(SIMGOLDEN)"
+
 # End-to-end smoke of live retuning: start kvserver, put it under load, and
 # let elmotune (mock LLM) retune the RUNNING instance through the SetOptions
 # wire op — at least one round must apply in place, with the trace and the
@@ -55,7 +68,7 @@ allocgate:
 liveretune:
 	./scripts/liveretune.sh
 
-verify: build vet test race equivalence allocgate serverbench liveretune
+verify: build vet test race equivalence allocgate simgolden serverbench liveretune
 
 clean:
 	$(GO) clean ./...

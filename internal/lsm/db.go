@@ -600,7 +600,13 @@ func (db *DB) makeRoomForWriteLocked(cf *columnFamily, batchBytes int64) error {
 			continue
 		}
 		if cf.mem.approximateBytes() < o.WriteBufferSize && db.wal.size() < db.options().maxTotalWALSize() {
-			db.setStallConditionLocked(StallNormal, l0, pending)
+			// A delayed write leaves the condition at delayed; only a write
+			// that went through undelayed reports the return to normal.
+			if delayed {
+				db.setStallConditionLocked(StallDelayed, l0, pending)
+			} else {
+				db.setStallConditionLocked(StallNormal, l0, pending)
+			}
 			return nil
 		}
 		// Memtable full (or the shared WAL outgrew its cap): switch, unless

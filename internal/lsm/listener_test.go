@@ -153,6 +153,22 @@ func TestStallListenerFiresUnderPressure(t *testing.T) {
 	if stalls[0].Previous != StallNormal {
 		t.Fatalf("first transition from %v, want normal", stalls[0].Previous)
 	}
+	for i := 1; i < len(stalls); i++ {
+		if stalls[i].Previous != stalls[i-1].Current {
+			t.Fatalf("transition %d %v->%v does not follow %v->%v",
+				i, stalls[i].Previous, stalls[i].Current, stalls[i-1].Previous, stalls[i-1].Current)
+		}
+	}
+	// Consecutive delayed writes stay in the delayed condition: transitions
+	// mark real changes, not one delayed/normal pair per slowdown write.
+	slowdowns := db.stats.Get(TickerSlowdownWrites)
+	if slowdowns == 0 {
+		t.Fatal("no slowdown writes with trigger=2 under 20k writes")
+	}
+	if int64(len(stalls))*10 > slowdowns {
+		t.Fatalf("%d stall transitions for %d slowdown writes: condition flip-flops per write",
+			len(stalls), slowdowns)
+	}
 }
 
 func TestInfoLogWritten(t *testing.T) {

@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -178,13 +179,19 @@ func (e *SimEnv) jitter(d time.Duration) time.Duration {
 	return time.Duration(float64(d) * (0.92 + 0.16*e.rng.Float64()))
 }
 
-// utilizationLocked combines active background transfers into a foreground
-// interference level at now. The first stream costs its full fraction;
-// additional concurrent streams add sub-linearly (devices overlap competing
-// sequential streams reasonably well).
-func (e *SimEnv) utilizationLocked(now time.Duration) float64 {
-	var maxFrac, sum float64
-	n := 0
+// bgLoad summarizes the background intervals active at one instant.
+type bgLoad struct {
+	active       int     // intervals with start <= now < end
+	maxFrac, sum float64 // over the active intervals
+}
+
+// bgLoadLocked drops the intervals that ended at or before now and
+// summarizes the ones active at now. Every caller reads now from the virtual
+// clock under e.mu and the clock never moves back, so a dropped interval
+// could never count again. Survivors keep their booking order, which keeps
+// the float sums bit-identical to a scan of the full history.
+func (e *SimEnv) bgLoadLocked(now time.Duration) bgLoad {
+	var l bgLoad
 	kept := e.bg[:0]
 	for _, iv := range e.bg {
 		if iv.end <= now {
@@ -192,43 +199,44 @@ func (e *SimEnv) utilizationLocked(now time.Duration) float64 {
 		}
 		kept = append(kept, iv)
 		if iv.start <= now {
-			sum += iv.frac
-			if iv.frac > maxFrac {
-				maxFrac = iv.frac
+			l.active++
+			l.sum += iv.frac
+			if iv.frac > l.maxFrac {
+				l.maxFrac = iv.frac
 			}
-			n++
 		}
 	}
 	e.bg = kept
-	if n == 0 {
-		return 0
-	}
-	u := maxFrac + (sum-maxFrac)*0.45
-	if u > 0.88 {
-		u = 0.88
-	}
-	return u
+	return l
 }
 
-// writebackPressureLocked returns the strongest saturating-writeback
-// interference active at now: only intervals at or above the dirty-burst
-// fraction count (frac >= 0.6 — the blocking bursts and job-end spikes),
-// because moderate background streaming does not trip dirty throttling.
-func (e *SimEnv) writebackPressureLocked(now time.Duration) float64 {
-	var p float64
-	for _, iv := range e.bg {
-		if iv.start <= now && iv.end > now && iv.frac >= 0.6 && iv.frac > p {
-			p = iv.frac
-		}
+// utilization combines active background transfers into a foreground
+// interference level. The first stream costs its full fraction; additional
+// concurrent streams add sub-linearly (devices overlap competing sequential
+// streams reasonably well).
+func (l bgLoad) utilization() float64 {
+	if l.active == 0 {
+		return 0
 	}
-	return p
+	return math.Min(l.maxFrac+(l.sum-l.maxFrac)*0.45, 0.88)
+}
+
+// writebackPressure is the strongest saturating-writeback interference:
+// only intervals at or above the dirty-burst fraction count (frac >= 0.6 —
+// the blocking bursts and job-end spikes), because moderate background
+// streaming does not trip dirty throttling.
+func (l bgLoad) writebackPressure() float64 {
+	if l.maxFrac >= 0.6 {
+		return l.maxFrac
+	}
+	return 0
 }
 
 // Utilization returns the current background device utilization in [0,0.88].
 func (e *SimEnv) Utilization() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.utilizationLocked(e.clock.Now())
+	return e.bgLoadLocked(e.clock.Now()).utilization()
 }
 
 // Oversubscribed reports whether runnable work (foreground vthreads plus
@@ -244,25 +252,12 @@ func (e *SimEnv) Oversubscribed() bool {
 func (e *SimEnv) ActiveBackground() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := e.clock.Now()
-	n := 0
-	for _, iv := range e.bg {
-		if iv.start <= now && iv.end > now {
-			n++
-		}
-	}
-	return n
+	return e.bgLoadLocked(e.clock.Now()).active
 }
 
 // cpuFactorLocked scales CPU costs by core oversubscription.
 func (e *SimEnv) cpuFactorLocked(now time.Duration) float64 {
-	active := e.fgThreads
-	for _, iv := range e.bg {
-		if iv.start <= now && iv.end > now {
-			active++
-		}
-	}
-	return e.Profile.CPUFactor(active)
+	return e.Profile.CPUFactor(e.fgThreads + e.bgLoadLocked(now).active)
 }
 
 // ChargeCPU implements Env: compute time scaled by core contention, with
@@ -292,7 +287,7 @@ func (e *SimEnv) ChargeStall(d time.Duration) {
 func (e *SimEnv) chargeDeviceRead(n int64, hint AccessHint) {
 	e.mu.Lock()
 	now := e.clock.Now()
-	u := e.utilizationLocked(now)
+	u := e.bgLoadLocked(now).utilization()
 	lat := e.Device.ReadLatency(n, hint == HintSequential, u)
 	e.opCost += e.jitter(lat)
 	e.devReads++
@@ -338,7 +333,7 @@ func (e *SimEnv) addDirtyLocked(n int64) {
 	// the bytes pays roughly twice the throttle time. The sleep is several
 	// times the raw device cost of the bytes (the kernel quantizes it and
 	// deliberately over-damps).
-	if p := e.writebackPressureLocked(e.clock.Now()); p > 0 {
+	if p := e.bgLoadLocked(e.clock.Now()).writebackPressure(); p > 0 {
 		throttle := time.Duration(p * float64(n) / e.Device.SeqWriteBW * 1e9 * 8)
 		e.opCost += e.jitter(throttle)
 	}
@@ -346,7 +341,7 @@ func (e *SimEnv) addDirtyLocked(n int64) {
 		return
 	}
 	now := e.clock.Now()
-	u := e.utilizationLocked(now)
+	u := e.bgLoadLocked(now).utilization()
 	burst := e.Device.WriteLatency(e.dirtyBytes, true, u)
 	// The op that crossed the watermark eats a fraction of the flush; the
 	// rest happens asynchronously but saturates the device for a while.
@@ -361,7 +356,7 @@ func (e *SimEnv) addDirtyLocked(n int64) {
 // syncDirtyLocked prices an explicit sync of d dirty bytes.
 func (e *SimEnv) syncDirtyLocked(d int64) {
 	now := e.clock.Now()
-	u := e.utilizationLocked(now)
+	u := e.bgLoadLocked(now).utilization()
 	lat := e.Device.WriteLatency(d, true, u) + e.Device.Sync(u)
 	e.opCost += e.jitter(lat)
 	e.devWrites++
@@ -389,12 +384,7 @@ func (e *SimEnv) ScheduleBackgroundIO(readBytes, writeBytes int64, readahead int
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	now := e.clock.Now()
-	concurrent := 1
-	for _, iv := range e.bg {
-		if iv.start <= now && iv.end > now {
-			concurrent++
-		}
-	}
+	concurrent := 1 + e.bgLoadLocked(now).active
 	var readTime time.Duration
 	if readBytes > 0 {
 		if readahead < simPageChunk {

@@ -1,6 +1,9 @@
 package lsm
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -199,6 +202,198 @@ func TestSimEnvForegroundDirtyBurst(t *testing.T) {
 	}
 	if worst < 10*time.Millisecond {
 		t.Fatalf("burst too cheap: %v", worst)
+	}
+}
+
+func TestSimEnvPrunesExpiredSyncIntervals(t *testing.T) {
+	env := NewSimEnv(device.SATAHDD(), device.Profile2C4G(), 1)
+	f, _ := env.NewWritableFile("/wal", IOForeground)
+	w := f.(*simWritableFile)
+	rec := make([]byte, 2<<10)
+	most := 0
+	for i := 0; i < 10000; i++ {
+		// The append reads the writeback pressure, which must drop every
+		// periodic-sync interval (~93 us each) the clock has passed.
+		w.Append(rec)
+		env.mu.Lock()
+		n := len(env.bg)
+		env.mu.Unlock()
+		if active := env.ActiveBackground(); n != active {
+			t.Fatalf("write %d: %d background intervals kept, %d active", i, n, active)
+		}
+		if n > most {
+			most = n
+		}
+		w.SyncAsync()
+		env.Clock().Advance(20 * time.Microsecond)
+		env.TakeOpCost()
+	}
+	if most < 2 {
+		t.Fatalf("at most %d sync intervals overlapped; the schedule must overlap several", most)
+	}
+}
+
+// naiveBgReference reads every interval ever booked, the way the simulator
+// did before expired intervals were dropped.
+type naiveBgReference struct{ hist []bgInterval }
+
+func (r *naiveBgReference) utilization(now time.Duration) float64 {
+	var maxFrac, sum float64
+	n := 0
+	for _, iv := range r.hist {
+		if iv.start <= now && iv.end > now {
+			sum += iv.frac
+			if iv.frac > maxFrac {
+				maxFrac = iv.frac
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	u := maxFrac + (sum-maxFrac)*0.45
+	if u > 0.88 {
+		u = 0.88
+	}
+	return u
+}
+
+func (r *naiveBgReference) active(now time.Duration) int {
+	n := 0
+	for _, iv := range r.hist {
+		if iv.start <= now && iv.end > now {
+			n++
+		}
+	}
+	return n
+}
+
+func (r *naiveBgReference) pressure(now time.Duration) float64 {
+	var p float64
+	for _, iv := range r.hist {
+		if iv.start <= now && iv.end > now && iv.frac >= 0.6 && iv.frac > p {
+			p = iv.frac
+		}
+	}
+	return p
+}
+
+func TestSimEnvPrunedLoadMatchesFullHistory(t *testing.T) {
+	const seed = 7
+	env := NewSimEnv(device.SATAHDD(), device.Profile2C4G(), seed)
+	env.DirtyBurst = 1 << 62 // no watermark bursts: they would book intervals too
+	f, _ := env.NewWritableFile("/wal", IOForeground)
+	// The reference replays the env's jitter draws from a twin source.
+	twin := rand.New(rand.NewSource(seed))
+	jitter := func(d time.Duration) time.Duration {
+		return time.Duration(float64(d) * (0.92 + 0.16*twin.Float64()))
+	}
+	ref := &naiveBgReference{}
+	rng := rand.New(rand.NewSource(1))
+	fracs := []float64{0.08, env.Device.BGInterferencePerJob(), 0.6, 0.75, rng.Float64()}
+	rec := make([]byte, 3<<10)
+	var idle, partial, saturated, pressured int
+	for step := 0; step < 3000; step++ {
+		now := env.Now()
+		for k := rng.Intn(3); k > 0; k-- {
+			iv := bgInterval{start: now, frac: fracs[rng.Intn(len(fracs))]}
+			if rng.Intn(4) == 0 {
+				// A job-end writeback spike: starts when its job ends.
+				iv.start += time.Duration(rng.Int63n(int64(20 * time.Millisecond)))
+			}
+			iv.end = iv.start + time.Duration(1+rng.Int63n(int64(8*time.Millisecond)))
+			env.mu.Lock()
+			env.bg = append(env.bg, iv)
+			env.mu.Unlock()
+			ref.hist = append(ref.hist, iv)
+		}
+		if rng.Intn(3) > 0 { // else re-read at the same instant
+			env.Clock().Advance(time.Duration(rng.Int63n(int64(5 * time.Millisecond))))
+		}
+		now = env.Now()
+		active, u, p := ref.active(now), ref.utilization(now), ref.pressure(now)
+		switch {
+		case u == 0:
+			idle++
+		case u < 0.88:
+			partial++
+		default:
+			saturated++
+		}
+		if p > 0 {
+			pressured++
+		}
+		if got := env.Utilization(); got != u {
+			t.Fatalf("step %d: Utilization = %v, full history says %v", step, got, u)
+		}
+		if got := env.ActiveBackground(); got != active {
+			t.Fatalf("step %d: ActiveBackground = %d, full history says %d", step, got, active)
+		}
+		if got, want := env.Oversubscribed(), env.Profile.CPUFactor(1+active) > 1; got != want {
+			t.Fatalf("step %d: Oversubscribed = %v, full history says %v", step, got, want)
+		}
+		env.TakeOpCost()
+		env.ChargeCPU(10 * time.Microsecond)
+		want := jitter(time.Duration(float64(10*time.Microsecond) * env.Profile.CPUFactor(1+active)))
+		f.Append(rec)
+		want += simMemCopyBase + time.Duration(len(rec)>>10)*simMemCopyPerKB
+		if p > 0 {
+			want += jitter(time.Duration(p * float64(len(rec)) / env.Device.SeqWriteBW * 1e9 * 8))
+		}
+		if got := env.TakeOpCost(); got != want {
+			t.Fatalf("step %d: CPU + append charge = %v, full history says %v", step, got, want)
+		}
+	}
+	if len(ref.hist) < 2000 || idle < 100 || partial < 100 || saturated < 100 || pressured < 100 {
+		t.Fatalf("schedule too narrow: %d intervals; %d idle, %d partial, %d saturated, %d pressured steps",
+			len(ref.hist), idle, partial, saturated, pressured)
+	}
+}
+
+// BenchmarkSimFillrandomPeriodicSync times sim writes with periodic WAL and
+// SST syncing (the bytes_per_sync / wal_bytes_per_sync of a scale-400 run)
+// at two run lengths. Every periodic sync books a background interval, so a
+// per-write cost that grows with the run's history shows up as ns/op rising
+// with the run length.
+func BenchmarkSimFillrandomPeriodicSync(b *testing.B) {
+	for _, runLen := range []int{20000, 120000} {
+		b.Run(fmt.Sprintf("writes=%dk", runLen/1000), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			key := make([]byte, 16)
+			value := make([]byte, 100)
+			wo := DefaultWriteOptions()
+			var db *DB
+			var env *SimEnv
+			for i := 0; i < b.N; i++ {
+				if i%runLen == 0 {
+					b.StopTimer()
+					if db != nil {
+						db.Close()
+					}
+					env = NewSimEnv(device.SATAHDD(), device.Profile2C4G(), 1)
+					opts := DefaultOptions()
+					opts.Env = env
+					opts.WriteBufferSize = 256 << 10
+					opts.TargetFileSizeBase = 256 << 10
+					opts.MaxBytesForLevelBase = 1 << 20
+					opts.WALBytesPerSync = (1 << 20) / 400
+					opts.BytesPerSync = (1 << 20) / 400
+					var err error
+					if db, err = Open("/db", opts); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				binary.BigEndian.PutUint64(key, rng.Uint64())
+				if err := db.Put(wo, key, value); err != nil {
+					b.Fatal(err)
+				}
+				env.Clock().Advance(env.TakeOpCost())
+			}
+			b.StopTimer()
+			db.Close()
+		})
 	}
 }
 
